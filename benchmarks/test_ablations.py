@@ -31,7 +31,7 @@ class UncalibratedModel(ThroughputModel):
     def link_decision(self, network, ap_id, client_id, channel):
         budget = network.link_budget(ap_id, client_id)
         snr = budget.snr20_db  # wrong for bonded channels, on purpose
-        key = (round(snr, 3), channel.params.name)
+        key = (snr, channel.params.name)
         decision = self._decision_cache.get(key)
         if decision is None:
             decision = self.controller.decide_from_snr(snr, channel.params)

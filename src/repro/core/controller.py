@@ -320,6 +320,17 @@ class Acorn:
                 self.model
             ):
                 compiled = self._derived.compiled
+        ap_id = self._associate(client_id, compiled)
+        if incremental:
+            self.apply_churn()
+        else:
+            self.invalidate_graph()
+        return ap_id
+
+    def _associate(
+        self, client_id: str, compiled: Optional[CompiledNetwork]
+    ) -> str:
+        """Run the Eq. 4 scan for one client and associate it."""
         ap_id, _ = choose_ap(
             self.network,
             self.graph,
@@ -329,10 +340,6 @@ class Acorn:
             compiled=compiled,
         )
         self.network.associate(client_id, ap_id)
-        if incremental:
-            self.apply_churn()
-        else:
-            self.invalidate_graph()
         return ap_id
 
     def admit_clients(self, order: Optional[Sequence[str]] = None) -> List[str]:
@@ -341,17 +348,23 @@ class Acorn:
         Returns the arrival order used. Clients with no candidate AP are
         skipped (they stay unassociated), mirroring a client that hears
         no beacon.
+
+        Every scan reads its delays from one compiled snapshot taken
+        before the loop, so the whole population's rate decisions are
+        made in one batched table build. The snapshot only freezes
+        topology: each scan still reads the live associations and the
+        current interference graph.
         """
         if order is None:
             order = list(self.network.client_ids)
             self._rng.shuffle(order)
-        admitted = []
+        compiled = self.compiled if supports_compiled(self.model) else None
         for client_id in order:
             try:
-                self.admit_client(client_id)
+                self._associate(client_id, compiled)
             except AssociationError:
                 continue
-            admitted.append(client_id)
+            self.invalidate_graph()
         return list(order)
 
     def allocate(

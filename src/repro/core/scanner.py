@@ -132,7 +132,7 @@ class ScanningThroughputModel(ThroughputModel):
         """Rate decision driven by the scanned per-channel SNR."""
         snr = self.scanner.link_snr_db(network, ap_id, client_id, channel)
         key: Tuple[float, str] = (
-            round(snr, 3),
+            snr,
             f"{channel.params.name}:{min(channel.constituents)}",
         )
         decision = self._decision_cache.get(key)

@@ -10,12 +10,15 @@ airtime.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import List, Sequence
+
+import numpy as np
 
 from ..config import DEFAULT_PACKET_SIZE_BYTES
 from ..errors import ConfigurationError
 from ..phy.mimo import MimoMode
 from ..phy.ofdm import OFDM_20MHZ, OFDM_40MHZ, OfdmParams
-from ..mcs.selection import RateDecision, optimal_mcs
+from ..mcs.selection import RateDecision, optimal_mcs, optimal_mcs_batch
 from .budget import LinkBudget
 
 __all__ = ["RateController", "serviceability_floor_db"]
@@ -33,19 +36,25 @@ def serviceability_floor_db(
     have infinite transmission delay and zero out its entire cell
     (the performance anomaly's degenerate limit). Association logic
     uses this as the admission floor; the value follows from the PHY
-    model rather than being hand-tuned.
+    model rather than being hand-tuned: the first point of the
+    -8…10 dB, 0.25 dB grid (one kernel call) where the best PER is
+    below 1, or 10 dB if there is none.
     """
     cached = _FLOOR_CACHE.get(packet_bytes)
     if cached is not None:
         return cached
-    snr = -8.0
-    while snr < 10.0:
-        decision = optimal_mcs(snr, OFDM_20MHZ, packet_bytes=packet_bytes)
-        if decision.per < 1.0:
-            break
-        snr += 0.25
-    _FLOOR_CACHE[packet_bytes] = snr
-    return snr
+    grid = np.arange(-8.0, 10.0, 0.25)
+    decisions = optimal_mcs_batch(grid, OFDM_20MHZ, packet_bytes=packet_bytes)
+    floor = next(
+        (
+            float(snr)
+            for snr, decision in zip(grid, decisions)
+            if decision.per < 1.0
+        ),
+        10.0,
+    )
+    _FLOOR_CACHE[packet_bytes] = floor
+    return floor
 
 
 @dataclass(frozen=True)
@@ -94,8 +103,18 @@ class RateController:
         self, snr_db: float, params: OfdmParams
     ) -> RateDecision:
         """Best MCS/mode when the width-specific SNR is already known."""
-        return optimal_mcs(
-            snr_db,
+        (decision,) = self.decide_from_snrs((snr_db,), params)
+        return decision
+
+    def decide_from_snrs(
+        self, snrs_db: "Sequence[float]", params: OfdmParams
+    ) -> List[RateDecision]:
+        """Best MCS/mode for many width-specific SNRs in one kernel call.
+
+        Element ``i`` equals ``decide_from_snr(snrs_db[i], params)``.
+        """
+        return optimal_mcs_batch(
+            snrs_db,
             params,
             packet_bytes=self.packet_bytes,
             short_gi=self.short_gi,

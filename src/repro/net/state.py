@@ -185,43 +185,48 @@ class RateTables:
 
     def __init__(self, compiled: "CompiledNetwork", model: ThroughputModel) -> None:
         """Precompute both width tables for every defined link."""
-        snr_matrices = (compiled.snr20_db, compiled.snr40_db)
         nan = float("nan")
-        packet_bytes = model.packet_bytes
-        timings = model.timings
-        goodput_factor = model.traffic.goodput_factor
         self.delay: List[List[List[float]]] = []
         self.factor: List[List[List[float]]] = []
-        for width, params in enumerate(_WIDTH_PARAMS):
-            snr_matrix = snr_matrices[width]
-            delay_rows: List[List[float]] = []
-            factor_rows: List[List[float]] = []
-            for ap in range(compiled.n_aps):
-                linked = compiled.has_link[ap]
-                snr_row = snr_matrix[ap]
-                delay_row: List[float] = []
-                factor_row: List[float] = []
-                for client in range(compiled.n_clients):
-                    if linked[client]:
-                        decision = model.decision_from_snr(
-                            float(snr_row[client]), params
-                        )
-                        delay_row.append(
-                            client_delay_s(
-                                decision.nominal_rate_mbps,
-                                decision.per,
-                                packet_bytes,
-                                timings,
-                            )
-                        )
-                        factor_row.append(goodput_factor(decision.per))
-                    else:
-                        delay_row.append(nan)
-                        factor_row.append(nan)
-                delay_rows.append(delay_row)
-                factor_rows.append(factor_row)
+        for width, snr_matrix in enumerate((compiled.snr20_db, compiled.snr40_db)):
+            delay_rows = [[nan] * compiled.n_clients for _ in range(compiled.n_aps)]
+            factor_rows = [[nan] * compiled.n_clients for _ in range(compiled.n_aps)]
+            _fill_rate_rows(
+                model, width, snr_matrix, compiled.has_link, delay_rows, factor_rows
+            )
             self.delay.append(delay_rows)
             self.factor.append(factor_rows)
+
+
+def _fill_rate_rows(
+    model: ThroughputModel,
+    width: int,
+    snr_matrix: np.ndarray,
+    linked: np.ndarray,
+    delay_rows: List[List[float]],
+    factor_rows: List[List[float]],
+) -> None:
+    """Write delay and goodput factor for every ``linked`` (AP, client).
+
+    One batched rate lookup per call
+    (:meth:`~repro.net.throughput.ThroughputModel.decisions_from_snrs`),
+    then the same ``client_delay_s`` and ``goodput_factor`` floats the
+    dict engine derives per link.
+    """
+    aps, clients = np.nonzero(linked)
+    if not aps.size:
+        return
+    decisions = model.decisions_from_snrs(
+        snr_matrix[aps, clients].tolist(), _WIDTH_PARAMS[width]
+    )
+    packet_bytes = model.packet_bytes
+    timings = model.timings
+    goodput_factor = model.traffic.goodput_factor
+    for ap, client, decision in zip(aps.tolist(), clients.tolist(), decisions):
+        delay_rows[ap][client] = client_delay_s(
+            decision.nominal_rate_mbps, decision.per, packet_bytes, timings
+        )
+        factor_rows[ap][client] = goodput_factor(decision.per)
 
 
 class CompiledNetwork:
@@ -666,57 +671,35 @@ class CompiledNetwork:
         """Re-key live per-model rate tables to the churned client axis.
 
         Kept entries are gathered (they are the exact floats a fresh
-        build would recompute); fresh clients run through the same
-        ``decision_from_snr`` + ``client_delay_s`` scalar pipeline as
-        :meth:`RateTables.__init__`. Dead model weakrefs are dropped.
+        build would recompute); fresh clients' columns are filled by the
+        same batched lookup as :meth:`RateTables.__init__`. Dead model
+        weakrefs are dropped.
         """
         if not self._rate_tables:
             return
         nan = float("nan")
-        snr_matrices = (self.snr20_db, self.snr40_db)
+        fresh = np.zeros_like(self.has_link)
+        fresh[:, fresh_cols] = self.has_link[:, fresh_cols]
         patched_cache: Dict[int, tuple] = {}
         for key, (ref, tables) in self._rate_tables.items():
             model = ref()
             if model is None:
                 continue
-            packet_bytes = model.packet_bytes
-            timings = model.timings
-            goodput_factor = model.traffic.goodput_factor
             patched = RateTables.__new__(RateTables)
             patched.delay = []
             patched.factor = []
-            for width, params in enumerate(_WIDTH_PARAMS):
-                snr_matrix = snr_matrices[width]
-                old_delay = tables.delay[width]
-                old_factor = tables.factor[width]
-                delay_rows: List[List[float]] = []
-                factor_rows: List[List[float]] = []
-                for ap in range(self.n_aps):
-                    old_drow = old_delay[ap]
-                    old_frow = old_factor[ap]
-                    drow = [
-                        old_drow[src] if src >= 0 else nan for src in col_src
-                    ]
-                    frow = [
-                        old_frow[src] if src >= 0 else nan for src in col_src
-                    ]
-                    linked = self.has_link[ap]
-                    snr_row = snr_matrix[ap]
-                    for k in fresh_cols:
-                        if not linked[k]:
-                            continue
-                        decision = model.decision_from_snr(
-                            float(snr_row[k]), params
-                        )
-                        drow[k] = client_delay_s(
-                            decision.nominal_rate_mbps,
-                            decision.per,
-                            packet_bytes,
-                            timings,
-                        )
-                        frow[k] = goodput_factor(decision.per)
-                    delay_rows.append(drow)
-                    factor_rows.append(frow)
+            for width, snr_matrix in enumerate((self.snr20_db, self.snr40_db)):
+                delay_rows = [
+                    [old[src] if src >= 0 else nan for src in col_src]
+                    for old in tables.delay[width]
+                ]
+                factor_rows = [
+                    [old[src] if src >= 0 else nan for src in col_src]
+                    for old in tables.factor[width]
+                ]
+                _fill_rate_rows(
+                    model, width, snr_matrix, fresh, delay_rows, factor_rows
+                )
                 patched.delay.append(delay_rows)
                 patched.factor.append(factor_rows)
             patched_cache[key] = (ref, patched)

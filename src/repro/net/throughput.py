@@ -14,7 +14,7 @@ the system believes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
 
@@ -91,17 +91,43 @@ class ThroughputModel:
     def decision_from_snr(self, snr: float, params) -> RateDecision:
         """Cached rate decision from a per-subcarrier SNR and numerology.
 
-        This is the exact cache used by :meth:`link_decision`; the
-        compiled-state rate tables (:mod:`repro.net.state`) call it
-        directly with SNRs read from the frozen matrices so both paths
-        produce identical :class:`RateDecision` objects.
+        This is the exact cache used by :meth:`link_decision`. It is
+        keyed on the exact SNR float, and the search is a pure function
+        of it, so a decision never depends on which links were looked
+        up before or in what order.
         """
-        key = (round(snr, 3), params.name)
+        key = (snr, params.name)
         decision = self._decision_cache.get(key)
         if decision is None:
             decision = self.controller.decide_from_snr(snr, params)
             self._decision_cache[key] = decision
         return decision
+
+    def decisions_from_snrs(
+        self, snrs: Sequence[float], params
+    ) -> List[RateDecision]:
+        """Cached rate decisions for many SNRs, in order.
+
+        Element ``i`` equals ``decision_from_snr(snrs[i], params)``;
+        the compiled-state rate tables (:mod:`repro.net.state`) fill
+        from here. Every cache miss is searched in one kernel call;
+        with no misses, no array is built.
+        """
+        cache = self._decision_cache
+        name = params.name
+        decisions = [cache.get((snr, name)) for snr in snrs]
+        missing = list(
+            dict.fromkeys(
+                snr for snr, decision in zip(snrs, decisions) if decision is None
+            )
+        )
+        if not missing:
+            return decisions
+        for snr, decision in zip(
+            missing, self.controller.decide_from_snrs(missing, params)
+        ):
+            cache[(snr, name)] = decision
+        return [cache[(snr, name)] for snr in snrs]
 
     def link_decision(
         self, network: Network, ap_id: str, client_id: str, channel: Channel

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 import numpy as np
-from scipy.special import comb
 
 from ..errors import ConfigurationError
 from ..units import linear_to_db
@@ -48,11 +47,11 @@ def pairwise_error_probability(d: int, p: "float | np.ndarray") -> "float | np.n
     half = d // 2
     if d % 2:
         for k in range(half + 1, d + 1):
-            result += comb(d, k) * p**k * q ** (d - k)
+            result += math.comb(d, k) * p**k * q ** (d - k)
     else:
         for k in range(half + 1, d + 1):
-            result += comb(d, k) * p**k * q ** (d - k)
-        result += 0.5 * comb(d, half) * p**half * q**half
+            result += math.comb(d, k) * p**k * q ** (d - k)
+        result += 0.5 * math.comb(d, half) * p**half * q**half
     return result if np.ndim(result) else float(result)
 
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from enum import Enum
 
+import numpy as np
+
 from ..errors import ConfigurationError
 
 __all__ = ["MimoMode", "effective_snr_db", "STBC_GAIN_DB", "SDM_PENALTY_DB"]
@@ -45,8 +47,10 @@ class MimoMode(Enum):
         return 1 if self is MimoMode.STBC else 2
 
 
-def effective_snr_db(link_snr_db: float, mode: MimoMode) -> float:
-    """Per-stream decodable SNR for ``mode`` given the raw link SNR."""
+def effective_snr_db(
+    link_snr_db: "float | np.ndarray", mode: MimoMode
+) -> "float | np.ndarray":
+    """Per-stream decodable SNR for ``mode`` given the raw link SNR(s)."""
     if not isinstance(mode, MimoMode):
         raise ConfigurationError(f"expected a MimoMode, got {mode!r}")
     if mode is MimoMode.STBC:

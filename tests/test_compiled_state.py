@@ -31,6 +31,7 @@ from repro.net import (
     network_fingerprint,
     supports_compiled,
 )
+from repro.net.topology import Network
 from repro.sim.scenario import SCENARIOS, random_enterprise
 
 RANDOM_SEEDS = tuple(range(12))
@@ -303,3 +304,71 @@ class TestAllocatorEquivalence:
                 )
             )
         assert outcomes[0] == outcomes[1]
+
+
+# Link SNR pairs that round to the same 0.001 dB: a rounded cache key
+# would let whichever link is looked up first decide for both.
+NEAR_TIES = {
+    ("ap1", "c1"): 4.9996,
+    ("ap1", "c2"): 5.0,
+    ("ap1", "c3"): 5.0002,
+    ("ap2", "c1"): 12.9996,
+    ("ap2", "c2"): 13.0,
+    ("ap2", "c3"): 22.5,
+}
+
+
+def near_tie_network(client_order, shift_db=0.0):
+    network = Network()
+    network.add_ap("ap1")
+    network.add_ap("ap2")
+    for client_id in client_order:
+        network.add_client(client_id)
+    for (ap_id, client_id), snr in NEAR_TIES.items():
+        network.set_link_snr(ap_id, client_id, snr + shift_db)
+    network.set_explicit_conflicts([])
+    return network
+
+
+def tables_by_id(network, model):
+    """Every rate-table entry keyed by (width, AP id, client id)."""
+    compiled = CompiledNetwork.compile(network)
+    tables = compiled.rate_tables(model)
+    return {
+        (width, ap_id, client_id): (
+            tables.delay[width][ap][client],
+            tables.factor[width][ap][client],
+        )
+        for width in range(2)
+        for ap, ap_id in enumerate(compiled.ap_ids)
+        for client, client_id in enumerate(compiled.client_ids)
+    }
+
+
+class TestRateTablesHistoryIndependence:
+    """Rate tables are a pure function of the frozen link SNRs."""
+
+    ORDER = ("c1", "c2", "c3")
+
+    def test_link_order_does_not_matter(self):
+        cold = tables_by_id(near_tie_network(self.ORDER), ThroughputModel())
+        shuffled = tables_by_id(
+            near_tie_network(self.ORDER[::-1]), ThroughputModel()
+        )
+        assert shuffled == cold
+
+    def test_warmed_model_gives_cold_tables(self):
+        cold = tables_by_id(near_tie_network(self.ORDER), ThroughputModel())
+        model = ThroughputModel()
+        tables_by_id(near_tie_network(self.ORDER, shift_db=0.0003), model)
+        assert tables_by_id(near_tie_network(self.ORDER), model) == cold
+
+    def test_tables_match_the_dict_path(self):
+        network = near_tie_network(self.ORDER)
+        model = ThroughputModel()
+        tables = tables_by_id(network, model)
+        for (width, ap_id, client_id), (delay, _) in tables.items():
+            channel = Channel(36, 40) if width else Channel(36)
+            assert delay == ThroughputModel().client_delay(
+                network, ap_id, client_id, channel
+            )

@@ -2,10 +2,14 @@
 
 import pytest
 
+from repro.core.association import choose_ap
 from repro.core.controller import Acorn
 from repro.errors import AssociationError
 from repro.net.channels import Channel, ChannelPlan
+from repro.net.throughput import ThroughputModel
 from repro.net.topology import Network
+from repro.obs import Tracer, activate
+from repro.sim.scenario import random_enterprise
 
 
 def fresh_two_cell() -> Network:
@@ -167,3 +171,68 @@ class TestAtomicInvalidation:
         assert set(acorn.decomposition.members(new_sid)) != set(
             members_before
         ) or "ap3" in acorn.decomposition.members(new_sid)
+
+
+
+def enterprise(shift_db=0.0):
+    """A random enterprise; optionally every link pinned shift_db higher."""
+    scenario = random_enterprise(n_aps=4, n_clients=10, seed=7)
+    network = scenario.network
+    if shift_db:
+        for ap_id in network.ap_ids:
+            for client_id in network.client_ids:
+                snr = network.link_budget(ap_id, client_id).snr20_db
+                network.set_link_snr(ap_id, client_id, snr + shift_db)
+    return scenario
+
+
+class TestAdmissionSnapshot:
+    def test_admission_round_compiles_once(self):
+        """The Eq. 4 scans of one round share one compiled snapshot."""
+        scenario = enterprise()
+        acorn = Acorn(scenario.network, scenario.plan, ThroughputModel(), seed=3)
+        acorn.assign_initial_channels()
+        tracer = Tracer()
+        with activate(tracer):
+            acorn.admit_clients(scenario.client_order)
+        counters = tracer.to_payload()["metrics"]["counters"]
+        assert counters["controller.compile_builds"] == 1
+        assert len(scenario.network.associations) == 10
+
+    def test_snapshot_scan_matches_the_live_scan(self):
+        """Same associations as admitting each client on the dict path."""
+        scenario = enterprise()
+        acorn = Acorn(scenario.network, scenario.plan, ThroughputModel(), seed=3)
+        acorn.assign_initial_channels()
+        acorn.admit_clients(scenario.client_order)
+        live = enterprise()
+        reference = Acorn(live.network, live.plan, ThroughputModel(), seed=3)
+        reference.assign_initial_channels()
+        for client_id in live.client_order:
+            ap_id, _ = choose_ap(
+                live.network,
+                reference.graph,
+                reference.model,
+                client_id,
+                min_snr20_db=reference.min_snr20_db,
+            )
+            live.network.associate(client_id, ap_id)
+            reference.invalidate_graph()
+        assert scenario.network.associations == live.network.associations
+
+
+class TestHistoryIndependence:
+    @staticmethod
+    def configure(scenario, model):
+        acorn = Acorn(scenario.network, scenario.plan, model, seed=3)
+        return acorn.configure(client_order=scenario.client_order, refine=True)
+
+    def test_warm_reconfigure_gives_the_cold_plan(self):
+        cold = self.configure(enterprise(), ThroughputModel())
+        model = ThroughputModel()
+        # Warm the cache with links 0.0003 dB away from the real ones.
+        self.configure(enterprise(shift_db=0.0003), model)
+        warm = self.configure(enterprise(), model)
+        assert warm.total_mbps == cold.total_mbps
+        assert warm.report.assignment == cold.report.assignment
+        assert warm.report.associations == cold.report.associations

@@ -138,3 +138,26 @@ class TestScanningThroughputModel:
                 scanner.scan(network, ap_id, plan)
             expected = 0.2 * len(plan) * len(network.ap_ids)
             assert scanner.scan_time_s == pytest.approx(expected)
+
+
+class TestScanningDecisionCache:
+    def test_nearby_links_keep_their_own_decisions(self):
+        """Two links 0.0004 dB apart (same 0.001 dB bucket) get the
+        decision of their own SNR, whichever is looked up first."""
+        network = Network()
+        network.add_ap("ap1")
+        for client_id, snr in (("u1", 4.9996), ("u2", 5.0)):
+            network.add_client(client_id)
+            network.set_link_snr("ap1", client_id, snr)
+        channel = Channel(36)
+
+        def decisions(order):
+            model = ScanningThroughputModel()
+            return {
+                client_id: model.link_decision(network, "ap1", client_id, channel)
+                for client_id in order
+            }
+
+        forward = decisions(("u1", "u2"))
+        assert forward == decisions(("u2", "u1"))
+        assert forward["u1"].per != forward["u2"].per

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
-from repro.link.adaptation import RateController
+from repro.link.adaptation import RateController, serviceability_floor_db
 from repro.link.budget import LinkBudget
 from repro.link.estimator import LinkQualityEstimator
 from repro.link.quality import (
@@ -16,6 +16,7 @@ from repro.link.quality import (
     sigma_from_snr,
     transition_snr_db,
 )
+from repro.mcs.selection import optimal_mcs
 from repro.phy.mimo import MimoMode
 from repro.phy.modulation import QAM16, QAM64, QPSK
 from repro.phy.ofdm import OFDM_20MHZ, OFDM_40MHZ
@@ -187,6 +188,35 @@ class TestRateController:
     def test_invalid_packet_bytes_rejected(self):
         with pytest.raises(ConfigurationError):
             RateController(packet_bytes=-1)
+
+    def test_batch_matches_per_link_decisions(self):
+        controller = RateController(short_gi=True)
+        snrs = [-4.0, 3.3, 17.125, 41.0]
+        batch = controller.decide_from_snrs(snrs, OFDM_40MHZ)
+        assert batch == [
+            controller.decide_from_snr(snr, OFDM_40MHZ) for snr in snrs
+        ]
+
+
+class TestServiceabilityFloor:
+    @staticmethod
+    def scan_floor(packet_bytes):
+        """The per-point search the one-call grid replaced."""
+        snr = -8.0
+        while snr < 10.0:
+            if optimal_mcs(snr, OFDM_20MHZ, packet_bytes=packet_bytes).per < 1.0:
+                break
+            snr += 0.25
+        return snr
+
+    def test_default_floor_is_pinned(self):
+        assert serviceability_floor_db() == -1.25
+
+    @pytest.mark.parametrize("packet_bytes", [64, 1500, 9000])
+    def test_matches_point_by_point_scan(self, packet_bytes):
+        assert serviceability_floor_db(packet_bytes) == self.scan_floor(
+            packet_bytes
+        )
 
 
 class TestSnr20FromPathLoss:

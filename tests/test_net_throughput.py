@@ -3,10 +3,12 @@
 import pytest
 
 from repro.errors import AllocationError
+from repro.link.adaptation import RateController
 from repro.net.channels import Channel, ChannelPlan
 from repro.net.interference import build_interference_graph
 from repro.net.throughput import ThroughputModel, UdpTraffic
 from repro.net.topology import Network
+from repro.phy.ofdm import OFDM_20MHZ, OFDM_40MHZ
 
 
 @pytest.fixture
@@ -190,3 +192,50 @@ class TestUdpTraffic:
         traffic = UdpTraffic()
         for per in (0.0, 0.3, 1.0):
             assert traffic.goodput_factor(per) == 1.0
+
+
+class TestRateDecisionCache:
+    """The rate-decision cache is a pure function of the exact SNR."""
+
+    def test_nearby_snr_gets_its_own_decision(self):
+        # Both SNRs round to 5.0 at three decimals: a rounded key would
+        # hand the second link the first link's PER.
+        x = 4.9996
+        model = ThroughputModel()
+        first = model.decision_from_snr(x, OFDM_20MHZ)
+        second = model.decision_from_snr(x + 0.0004, OFDM_20MHZ)
+        own = ThroughputModel().decision_from_snr(x + 0.0004, OFDM_20MHZ)
+        assert first.per != own.per
+        assert second.per == own.per
+
+    def test_batch_lookup_matches_scalar_lookup(self):
+        snrs = [12.0, -1.0, 12.0, 25.5, 4.9996, 5.0]
+        batch = ThroughputModel().decisions_from_snrs(snrs, OFDM_40MHZ)
+        scalar = ThroughputModel()
+        assert batch == [scalar.decision_from_snr(s, OFDM_40MHZ) for s in snrs]
+
+    def test_batch_misses_are_searched_once(self, monkeypatch):
+        calls = []
+        original = RateController.decide_from_snrs
+
+        def counting(self, snrs, params):
+            calls.append(list(snrs))
+            return original(self, snrs, params)
+
+        monkeypatch.setattr(RateController, "decide_from_snrs", counting)
+        model = ThroughputModel()
+        model.decision_from_snr(8.0, OFDM_20MHZ)
+        calls.clear()
+        model.decisions_from_snrs([8.0, 9.0, 10.0, 9.0], OFDM_20MHZ)
+        assert calls == [[9.0, 10.0]]
+
+    def test_warm_batch_lookup_runs_no_search(self, monkeypatch):
+        model = ThroughputModel()
+        snrs = [3.0, 14.0, 3.0]
+        expected = model.decisions_from_snrs(snrs, OFDM_20MHZ)
+
+        def no_search(self, snrs, params):
+            raise AssertionError("a fully cached lookup ran the kernel")
+
+        monkeypatch.setattr(RateController, "decide_from_snrs", no_search)
+        assert model.decisions_from_snrs(snrs, OFDM_20MHZ) == expected
